@@ -1,7 +1,7 @@
 """Order of appearance of integers in the Fibonacci sequence, with
 closed forms for products of consecutive Fibonacci and Lucas numbers."""
 
-from .bigmath import fib, fib_iterative, fib_mod, gcd, is_prime, lcm, lucas, v_int
+from .bigmath import fib, fib_mod, gcd, is_prime, lcm, lucas, v_int
 from .errors import BudgetExceededError, ScanBoundError
 from .fibstruct import (
     GcdCaseResult,
@@ -58,7 +58,6 @@ __all__ = [
     "corollary_table",
     "fib",
     "fib_divides",
-    "fib_iterative",
     "fib_mod",
     "g_rec",
     "gcd",

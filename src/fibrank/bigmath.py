@@ -1,7 +1,7 @@
 """Arbitrary-precision integer primitives.
 
 Fibonacci and Lucas evaluation by fast doubling (plain and modular),
-gcd/lcm, p-adic valuation of integers, and a deterministic primality
+gcd/lcm, p-adic valuation of integers, and a Miller-Rabin primality
 check used to validate arguments elsewhere in the package.
 
 Conventions: F_0 = 0, F_1 = F_2 = 1 and L_0 = 2, L_1 = 1, L_2 = 3.
@@ -15,16 +15,17 @@ gcd = math.gcd
 lcm = math.lcm
 
 
-def _fib_pair(n: int) -> tuple[int, int]:
-    """(F_n, F_{n+1}) by fast doubling."""
-    if n == 0:
-        return 0, 1
-    a, b = _fib_pair(n >> 1)
-    c = a * (2 * b - a)
-    d = a * a + b * b
-    if n & 1:
-        return d, c + d
-    return c, d
+def _fib_pair(n: int, m: int | None = None) -> tuple[int, int]:
+    """(F_n, F_{n+1}) by fast doubling over the bits of n, high to low,
+    with every step reduced mod m when a modulus is given."""
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        a, b = a * (2 * b - a), a * a + b * b
+        if bit == "1":
+            a, b = b, a + b
+        if m is not None:
+            a, b = a % m, b % m
+    return a, b
 
 
 def fib(n: int) -> int:
@@ -50,30 +51,13 @@ def lucas(n: int) -> int:
     return 2 * b - a
 
 
-def fib_iterative(n: int) -> int:
-    """F_n by naive iteration of the recurrence; kept as a test oracle."""
-    if n < 0:
-        raise ValueError("index must be non-negative")
-    a, b = 0, 1
-    for _ in range(n):
-        a, b = b, a + b
-    return a
-
-
 def fib_pair_mod(n: int, m: int) -> tuple[int, int]:
     """(F_n mod m, F_{n+1} mod m) by fast doubling in residues."""
     if n < 0:
         raise ValueError("index must be non-negative")
     if m < 1:
         raise ValueError("modulus must be positive")
-    if n == 0:
-        return 0, 1 % m
-    a, b = fib_pair_mod(n >> 1, m)
-    c = a * (2 * b - a) % m
-    d = (a * a + b * b) % m
-    if n & 1:
-        return d, (c + d) % m
-    return c, d
+    return _fib_pair(n, m)
 
 
 def fib_mod(n: int, m: int) -> int:
@@ -99,11 +83,16 @@ def v_int(p: int, n: int) -> int:
     return e
 
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin with a fixed witness set; deterministic for n < 3.3e24."""
+    """Miller-Rabin to the prime bases 2..41.
+
+    Deterministic below psi_13 = 3317044064679887385961981 (about 3.3e24;
+    Sorenson and Webster, Math. Comp. 2017); above that bound it is a
+    strong probable-prime test.
+    """
     if n < 2:
         return False
     for p in _MR_WITNESSES:

@@ -4,7 +4,9 @@ Subcommands: fib, lucas, z, vp, lcm, zprod, verify, table.
 
 Every command emits one record -- text by default, or JSON/CSV via
 --format.  JSON records hold all big integers as exact decimal strings
-and re-serialize byte-identically.  Exit codes: 0 success, 1
+and re-serialize byte-identically.  A record's ms field is the wall time
+of the command's handler: the computation and building the record, not
+argument parsing or printing.  Exit codes: 0 success, 1
 verification mismatch, 2 usage error, 3 oracle budget exceeded.
 """
 
@@ -26,7 +28,7 @@ from .orderprod import (
     CLOSED_FORM_KS,
     ProductSpec,
     ZResult,
-    _resolve_budget,
+    resolve_budget,
     theorem_table,
     z_product_closed,
     z_product_general,
@@ -44,8 +46,8 @@ _ROUTE_FUNCS = {
 }
 
 
-def _record(command: str, inputs: dict, result: dict, ms: float) -> dict:
-    return {"command": command, "inputs": inputs, "result": result, "ms": ms}
+def _record(command: str, inputs: dict, result: dict) -> dict:
+    return {"command": command, "inputs": inputs, "result": result}
 
 
 def _emit_json(record: dict) -> str:
@@ -153,55 +155,45 @@ def _run_verify(family: str, n_lo: int, n_hi: int, ks: tuple[int, ...],
 
 
 def _cmd_fib(args) -> tuple[dict, list[str], list[dict] | None, int]:
-    t0 = time.perf_counter()
     value = fib(args.n) if args.command == "fib" else lucas(args.n)
-    ms = (time.perf_counter() - t0) * 1000
-    record = _record(args.command, {"n": str(args.n)}, {"value": str(value)}, ms)
+    record = _record(args.command, {"n": str(args.n)}, {"value": str(value)})
     return record, [str(value)], None, 0
 
 
 def _cmd_z(args):
-    t0 = time.perf_counter()
-    value = z_oracle(args.m, max_steps=_resolve_budget(None))
-    ms = (time.perf_counter() - t0) * 1000
-    record = _record("z", {"m": str(args.m)}, {"z": str(value)}, ms)
+    value = z_oracle(args.m, max_steps=resolve_budget(None))
+    record = _record("z", {"m": str(args.m)}, {"z": str(value)})
     return record, [str(value)], None, 0
 
 
 def _cmd_vp(args):
     law = vp_fib if args.family == "fib" else vp_lucas
-    t0 = time.perf_counter()
     res = law(args.p, args.n)
-    ms = (time.perf_counter() - t0) * 1000
     record = _record("vp", {"family": args.family, "p": str(args.p), "n": str(args.n)},
-                     {"order": str(res.order), "branch": res.branch}, ms)
+                     {"order": str(res.order), "branch": res.branch})
     return record, [f"{res.order} [{res.branch}]"], None, 0
 
 
 def _cmd_lcm(args):
-    t0 = time.perf_counter()
     if args.kind == "ints":
         value = lcm_run(args.n, args.k)
     elif args.kind == "fib":
         value = lcm_fib_run(args.n, args.k)
     else:
         value = lcm_lucas_run(args.n, args.k)
-    ms = (time.perf_counter() - t0) * 1000
     record = _record("lcm", {"kind": args.kind, "n": str(args.n), "k": str(args.k)},
-                     {"value": str(value)}, ms)
+                     {"value": str(value)})
     return record, [str(value)], None, 0
 
 
 def _cmd_zprod(args):
     spec = ProductSpec(args.family, args.n, args.k)
-    t0 = time.perf_counter()
     res = _zprod_result(spec, args.route)
-    ms = (time.perf_counter() - t0) * 1000
     payload = _zresult_payload(res)
     record = _record("zprod",
                      {"family": args.family, "n": str(args.n), "k": str(args.k),
                       "route": args.route},
-                     payload, ms)
+                     payload)
     lines = [f"{key} = {payload[key]}" for key in
              ("z", "a", "j", "c", "route", "branch") if key in payload]
     return record, lines, None, 0
@@ -216,9 +208,7 @@ def _cmd_verify(args):
         if "closed" in routes and k not in CLOSED_FORM_KS:
             raise ValueError(
                 f"closed route needs k in {CLOSED_FORM_KS}, got k={k}")
-    t0 = time.perf_counter()
     rows = _run_verify(args.family, args.n_min, args.n_max, ks, routes, args.jobs)
-    ms = (time.perf_counter() - t0) * 1000
     mismatches = [row for row in rows if row["status"] == "mismatch"]
     skipped = [row for row in rows if row["status"] == "skipped"]
     record = _record("verify",
@@ -227,8 +217,7 @@ def _cmd_verify(args):
                       "ks": ",".join(str(k) for k in ks),
                       "routes": ",".join(routes), "jobs": str(args.jobs)},
                      {"checked": str(len(rows)),
-                      "mismatches": mismatches, "skipped": skipped},
-                     ms)
+                      "mismatches": mismatches, "skipped": skipped})
     lines = [f"checked {len(rows)} combinations: "
              f"{len(mismatches)} mismatches, {len(skipped)} skipped (budget)"]
     for row in mismatches:
@@ -263,7 +252,7 @@ def _cmd_table(args):
     record = _record("table", {"family": args.family, "k": str(args.k)},
                      {"c": "1" if table.c_offsets is None
                       else f"(5,{'n' if table.c_offsets == (0,) else 'n(n+1)'})",
-                      "rows": rows}, 0.0)
+                      "rows": rows})
     lines = [f"closed form for {args.family}, k={args.k} "
              f"(z = multiplier x a{' x c' if table.c_offsets else ''})"]
     for row in rows:
@@ -376,6 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
         record, lines, csv_rows, code = _HANDLERS[args.command](args)
     except BudgetExceededError as exc:
@@ -384,6 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    record["ms"] = (time.perf_counter() - started) * 1000
     _print_record(record, args.format, lines, csv_rows)
     return code
 

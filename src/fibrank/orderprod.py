@@ -2,13 +2,17 @@
 numbers.
 
 For b = F_n * ... * F_{n+k} (or the Lucas analogue), z(b) is always a
-small multiple of a, where a = [n, ..., n+k] for Fibonacci runs and
-a = 2[n, ..., n+k] for Lucas runs.  Three routes compute it:
+small multiple of a, the lcm of the indices of the terms that are not 1,
+doubled for Lucas runs: a = [n, ..., n+k] for Fibonacci runs and
+a = 2[n, ..., n+k] for Lucas runs, except that the Fibonacci runs
+(n, k) = (1, 1), (1, 2), (2, 1) have a = 1, 3, 3.  Three routes
+compute it:
 
 * closed form: k in {4, 5, 6}, residue tables keyed on n mod 12/24/36/72,
   stored as data so the CLI prints exactly what the computation uses;
-* general: for any k, match p-adic valuations of b against F_{a*j} per
-  prime dividing the run cofactor, taking the least feasible j;
+* general: for any n and k, match p-adic valuations of b against
+  F_{a*j} per prime dividing the run cofactor, taking the least
+  feasible j;
 * oracle: evaluate b exactly and scan Fibonacci residues mod b.
 
 All three must agree; the test suite enforces it.
@@ -299,12 +303,23 @@ def run_product_value(spec: ProductSpec) -> int:
 
 
 def base_a(spec: ProductSpec) -> int:
-    """a = [n, ..., n+k], doubled for Lucas runs."""
-    a = lcm_run(spec.n, spec.k)
+    """a: the lcm of the indices of the terms that are not 1, doubled for
+    Lucas runs.
+
+    F_1 = F_2 = 1 and L_1 = 1 are skipped, so every term left has
+    z(term) equal to its index (twice it for Lucas), and a | z(b) for
+    every n >= 1.  This is [n, ..., n+k] (doubled for Lucas) except at
+    the Fibonacci runs (1, 1), (1, 2) and (2, 1), where a is 1, 3, 3.
+    """
+    first = max(spec.n, 3 if spec.family == "fib" else 2)
+    k = spec.n + spec.k - first
+    a = lcm_run(first, k) if k >= 0 else 1
     return 2 * a if spec.family == "lucas" else a
 
 
-def _resolve_budget(budget: int | None) -> int:
+def resolve_budget(budget: int | None) -> int:
+    """The oracle step budget: budget if given, else the value of
+    FIBRANK_ORACLE_BUDGET, else DEFAULT_ORACLE_BUDGET."""
     if budget is not None:
         return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
@@ -314,20 +329,6 @@ def _resolve_budget(budget: int | None) -> int:
             raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
         return value
     return DEFAULT_ORACLE_BUDGET
-
-
-def _decompose(spec: ProductSpec, z: int, route: str) -> ZResult:
-    a = base_a(spec)
-    if z % a == 0:
-        return ZResult(z, a, z // a, 1, route)
-    # Possible only below the theorem range (n <= 2), where F_1 = F_2 = 1
-    # contribute no divisibility constraint.
-    return ZResult(z, z, 1, 1, route)
-
-
-def _scan(spec: ProductSpec, budget: int | None) -> ZResult:
-    z = z_oracle(run_product_value(spec), max_steps=_resolve_budget(budget))
-    return _decompose(spec, z, ROUTE_ORACLE)
 
 
 def _prime_factors(m: int) -> tuple[int, ...]:
@@ -343,19 +344,14 @@ def _prime_factors(m: int) -> tuple[int, ...]:
     return tuple(factors)
 
 
-def z_product_general(spec: ProductSpec, *, oracle_budget: int | None = None) -> ZResult:
-    """z(b) for any k >= 1 by per-prime valuation matching.
+def z_product_general(spec: ProductSpec) -> ZResult:
+    """z(b) for any n, k >= 1 by per-prime valuation matching.
 
-    With a the run lcm (doubled for Lucas) and f the run cofactor, b
-    divides F_{a*j} for every j that satisfies, for each prime p | f,
-    v_p(F_{a*j}) >= v_p(b); the least such j is the answer.  Both sides
-    come from the valuation laws, so no sequence value is materialized.
-
-    The index arguments below the identity range (n <= 2) fall through
-    to the scanning oracle, which is cheap there.
+    With a = base_a(spec) and f the run cofactor, b divides F_{a*j} for
+    every j that satisfies, for each prime p | f, v_p(F_{a*j}) >= v_p(b);
+    the least such j is the answer.  Both sides come from the valuation
+    laws; the sequence values are evaluated only to find the cofactor f.
     """
-    if spec.n <= 2:
-        return _scan(spec, oracle_budget)
     vp = vp_fib if spec.family == "fib" else vp_lucas
     a = base_a(spec)
     f = cofactor_f(spec.n, spec.k, spec.family)
@@ -405,20 +401,21 @@ def z_product_closed(spec: ProductSpec, variant: str = "theorem") -> ZResult:
 def z_product_oracle(spec: ProductSpec, *, budget: int | None = None) -> ZResult:
     """z(b) by exact big-integer scan, guarded by a step budget.
 
-    In the theorem range the expected z is first computed by the general
-    route; if it already exceeds the budget the scan is refused so
-    sweeps can skip gracefully.  Below that range the scan itself is
-    capped at the budget.
+    The expected z is first computed by the general route; if it already
+    exceeds the budget the scan is refused so sweeps can skip
+    gracefully.  The scan itself is capped at the budget too.  a comes
+    from base_a, and ZResult rejects a z that a does not divide.
     """
-    steps = _resolve_budget(budget)
-    if spec.n >= 3:
-        estimate = z_product_general(spec).z
-        if estimate > steps:
-            raise BudgetExceededError(
-                f"z estimate {estimate} exceeds budget {steps} for "
-                f"({spec.family}, n={spec.n}, k={spec.k})",
-                estimate=estimate, budget=steps)
-    return _scan(spec, steps)
+    steps = resolve_budget(budget)
+    estimate = z_product_general(spec).z
+    if estimate > steps:
+        raise BudgetExceededError(
+            f"z estimate {estimate} exceeds budget {steps} for "
+            f"({spec.family}, n={spec.n}, k={spec.k})",
+            estimate=estimate, budget=steps)
+    z = z_oracle(run_product_value(spec), max_steps=steps)
+    a = base_a(spec)
+    return ZResult(z, a, z // a, 1, ROUTE_ORACLE)
 
 
 def corollary_plain_form(n: int) -> int:

@@ -2,7 +2,7 @@
 
 Every valuation is computed from the index alone; the Fibonacci or Lucas
 number itself is never materialized.  The only sequence arithmetic that
-happens at all is modular, inside vp_fib_at_rank.
+happens at all is modular: the z(p) scan and vp_fib_at_rank.
 
 For a prime p, z(p) denotes the rank of apparition: the least i >= 1
 with p | F_i.
@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from .bigmath import fib_mod, is_prime, v_int
 from .errors import ScanBoundError
+from .fibstruct import z_oracle
 
 # Branch labels for vp_fib.
 BRANCH_F2_COPRIME = "n≡1,2 (mod 3)"
@@ -56,19 +57,13 @@ def _require_index(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def rank_of_apparition_prime(p: int) -> int:
-    """z(p) for prime p, by scanning F_i mod p with constant-size state.
+    """z(p) for prime p, by the scanning oracle z_oracle.
 
     The scan is bounded by 6p; running past that bound is an internal
-    arithmetic failure, not a valid outcome.
+    arithmetic failure (ScanBoundError), not a valid outcome.
     """
     _require_prime(p)
-    cap = 6 * p
-    a, b = 1, 1  # F_1, F_2; neither is 0 mod a prime
-    for i in range(3, cap + 1):
-        a, b = b, (a + b) % p
-        if b == 0:
-            return i
-    raise ScanBoundError(f"no zero residue mod {p} within {cap} steps")
+    return z_oracle(p)
 
 
 @lru_cache(maxsize=None)

@@ -147,6 +147,7 @@ def test_table_text_and_json(capsys):
     multipliers = [row["multiplier"] for row in record["result"]["rows"]]
     assert multipliers == ["3a", "a"]
     assert record["result"]["rows"][1]["otherwise"] is True
+    assert record["ms"] > 0  # timed like every other command
 
 
 def test_table_without_a_closed_form_is_a_usage_error(capsys):

@@ -27,8 +27,8 @@ from fibrank import (
 )
 from fibrank.orderprod import (
     BUDGET_ENV_VAR,
-    _resolve_budget,
     base_a,
+    resolve_budget,
     run_product_value,
 )
 
@@ -70,6 +70,9 @@ def test_run_product_value_and_base():
     lucas_spec = ProductSpec("lucas", 1, 4)
     assert run_product_value(lucas_spec) == 1 * 3 * 4 * 7 * 11
     assert base_a(lucas_spec) == 120  # doubled run lcm
+    # F_1 = F_2 = 1 are left out, which changes a on three runs only
+    assert [base_a(ProductSpec("fib", n, k))
+            for n, k in ((1, 1), (1, 2), (2, 1))] == [1, 3, 3]
 
 
 def test_closed_route_fibonacci_spot_values():
@@ -145,10 +148,23 @@ def test_general_route_covers_short_runs():
                 assert z_product_general(spec).z == z_product_oracle(spec).z, (family, n, k)
 
 
-def test_short_prefix_products_fall_back_to_the_scan():
-    # F_1 = F_2 = 1 impose no constraint, so the run lcm need not divide z
+def test_general_route_covers_runs_that_start_at_a_unit_term():
+    for family in FAMILIES:
+        for n in (1, 2):
+            for k in range(1, 9):
+                spec = ProductSpec(family, n, k)
+                general = z_product_general(spec)
+                assert general.route == "general", (family, n, k)
+                assert general.z % general.base_a == 0, (family, n, k)
+                assert general.z == z_product_oracle(spec).z, (family, n, k)
+
+
+def test_short_prefix_products_take_the_general_route():
+    # F_1 = F_2 = 1 impose no constraint, so a leaves their indices out
+    # and the general route needs no scan
     result = z_product_general(ProductSpec("fib", 2, 1))
     assert (result.z, result.base_a, result.multiplier_j, result.extra_c) == (3, 3, 1, 1)
+    assert result.route == "general"
     lucas_result = z_product_oracle(ProductSpec("lucas", 1, 4))
     assert lucas_result.z == z_oracle(1 * 3 * 4 * 7 * 11)
 
@@ -237,16 +253,16 @@ def test_oracle_route_refuses_over_budget_scans():
 
 def test_budget_resolution_order(monkeypatch):
     monkeypatch.delenv(BUDGET_ENV_VAR, raising=False)
-    assert _resolve_budget(None) == DEFAULT_ORACLE_BUDGET
+    assert resolve_budget(None) == DEFAULT_ORACLE_BUDGET
     monkeypatch.setenv(BUDGET_ENV_VAR, "12345")
-    assert _resolve_budget(None) == 12345
-    assert _resolve_budget(777) == 777
+    assert resolve_budget(None) == 12345
+    assert resolve_budget(777) == 777
     monkeypatch.setenv(BUDGET_ENV_VAR, "0")
     with pytest.raises(ValueError):
-        _resolve_budget(None)
+        resolve_budget(None)
     monkeypatch.setenv(BUDGET_ENV_VAR, "junk")
     with pytest.raises(ValueError):
-        _resolve_budget(None)
+        resolve_budget(None)
 
 
 def test_environment_budget_reaches_the_oracle(monkeypatch):
