@@ -13,14 +13,12 @@ from .fibstruct import (
     z_oracle,
 )
 from .lcmkit import (
-    LcmDecomposition,
     cofactor_f,
     g_rec,
     lcm_fib_run,
     lcm_lucas_run,
     lcm_run,
     lcm_run_closed,
-    run_decomposition,
     run_product,
 )
 from .orderprod import (
@@ -48,7 +46,6 @@ __all__ = [
     "BudgetExceededError",
     "DEFAULT_ORACLE_BUDGET",
     "GcdCaseResult",
-    "LcmDecomposition",
     "ProductSpec",
     "ScanBoundError",
     "ValuationLawResult",
@@ -73,7 +70,6 @@ __all__ = [
     "lucas",
     "lucas_divides_fib",
     "rank_of_apparition_prime",
-    "run_decomposition",
     "run_product",
     "theorem_table",
     "v_int",

@@ -3,12 +3,12 @@ Fibonacci numbers, consecutive Lucas numbers.
 
 A "run" is n, n+1, ..., n+k (k+1 terms).  The product of a run always
 equals its lcm times a small cofactor; the cofactor for integer runs
-follows a gcd recursion, and for k <= 6 everything has a closed form.
+follows a gcd recursion.  For k <= 6 every cofactor is a closed form in
+n; only cofactor_f at k > 6 folds lcms over the exact run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import gcd, lcm, prod
 
@@ -16,15 +16,6 @@ from .bigmath import fib, lucas
 from .valuation import vp_lucas
 
 FAMILIES = ("fib", "lucas")
-
-
-@dataclass(frozen=True)
-class LcmDecomposition:
-    """product = lcm * cofactor for one run."""
-
-    product: int
-    lcm: int
-    cofactor: int
 
 
 def _check_run(n: int, k: int, *, k_min: int = 0) -> None:
@@ -97,86 +88,92 @@ def _family_values(family: str, n: int, k: int) -> list[int]:
     return [evaluate(n + i) for i in range(k + 1)]
 
 
-def lcm_fib_run(n: int, k: int) -> int:
-    """[F_n, ..., F_{n+k}] for 1 <= k <= 6 without folding any lcm.
+def _exact_quotient(product: int, divisor: int, family: str, n: int, k: int) -> int:
+    quotient, remainder = divmod(product, divisor)
+    if remainder:
+        raise RuntimeError(
+            f"the {family} run ({n}, k={k}) does not split as lcm * cofactor")
+    return quotient
 
-    With P the run product, the divisor is 1 for k <= 2 and otherwise a
-    power of two times F_{gcd(n, k)}-style terms keyed on n mod 3 or
-    n mod 4.
+
+def _fib_cofactor(n: int, k: int) -> int:
+    """Run product / [F_n, ..., F_{n+k}] for 1 <= k <= 6, from n alone:
+    1, 2 or 6 times F_{gcd}-style terms whose indices are at most 6."""
+    if k <= 2:
+        return 1
+    if k == 3:
+        return fib(gcd(n, 3))
+    if k == 4:
+        d = fib(gcd(n, 4))
+        return d if n % 3 == 1 else 2 * d
+    if k == 5:
+        return fib(gcd(n, 5)) * (2 if n % 4 in (1, 2) else 6)
+    d = fib(gcd(n * (n + 1), 5)) * fib(gcd(n, 6))
+    return d * (2 if n % 4 == 1 else 6)
+
+
+def _lucas_cofactor(n: int, k: int) -> int:
+    """Run product / [L_n, ..., L_{n+k}] for 1 <= k <= 6, from n alone.
+
+    The k = 4 term uses F_{gcd(n-2, 4)}; for n in {1, 2} the gcd is taken
+    on |n-2| with gcd(0, 4) = 4, which the direct-lcm tests pin down as
+    the correct reading.
+    """
+    if k <= 2:
+        return 1
+    if k == 3:
+        return fib(gcd(n, 3))
+    if k == 4:
+        d = fib(gcd(n - 2, 4))
+        return d if n % 3 == 1 else 2 * d
+    if k == 5:
+        return 6 if n % 4 in (1, 2) else 2
+    d = 2 ** (vp_lucas(2, n).order + 1)
+    return 3 * d if n % 4 in (0, 1, 2) else d
+
+
+_CLOSED_COFACTORS = {"fib": _fib_cofactor, "lucas": _lucas_cofactor}
+
+
+def _closed_run_lcm(family: str, n: int, k: int) -> int:
+    _check_run(n, k, k_min=1)
+    if k > 6:
+        raise ValueError("closed forms stop at k = 6")
+    product = prod(_family_values(family, n, k))
+    return _exact_quotient(product, _CLOSED_COFACTORS[family](n, k), family, n, k)
+
+
+def lcm_fib_run(n: int, k: int) -> int:
+    """[F_n, ..., F_{n+k}] for 1 <= k <= 6: run product / closed cofactor.
 
     >>> lcm_fib_run(1, 5)
     120
     """
-    _check_run(n, k, k_min=1)
-    if k > 6:
-        raise ValueError("closed forms stop at k = 6")
-    p = prod(_family_values("fib", n, k))
-    if k <= 2:
-        return p
-    if k == 3:
-        return p // fib(gcd(n, 3))
-    if k == 4:
-        d = fib(gcd(n, 4))
-        return p // d if n % 3 == 1 else p // (2 * d)
-    if k == 5:
-        d = fib(gcd(n, 5))
-        return p // (2 * d) if n % 4 in (1, 2) else p // (6 * d)
-    d = fib(gcd(n * (n + 1), 5)) * fib(gcd(n, 6))
-    return p // (2 * d) if n % 4 == 1 else p // (6 * d)
+    return _closed_run_lcm("fib", n, k)
 
 
 def lcm_lucas_run(n: int, k: int) -> int:
-    """[L_n, ..., L_{n+k}] for 1 <= k <= 6 without folding any lcm.
-
-    The k = 4 divisor uses F_{gcd(n-2, 4)}; for n in {1, 2} the gcd is
-    taken on |n-2| with gcd(0, 4) = 4, which the direct-lcm tests pin
-    down as the correct reading.
+    """[L_n, ..., L_{n+k}] for 1 <= k <= 6: run product / closed cofactor.
 
     >>> lcm_lucas_run(1, 2)
     12
     """
-    _check_run(n, k, k_min=1)
-    if k > 6:
-        raise ValueError("closed forms stop at k = 6")
-    p = prod(_family_values("lucas", n, k))
-    if k <= 2:
-        return p
-    if k == 3:
-        return p // fib(gcd(n, 3))
-    if k == 4:
-        d = fib(gcd(n - 2, 4))
-        return p // d if n % 3 == 1 else p // (2 * d)
-    if k == 5:
-        return p // 6 if n % 4 in (1, 2) else p // 2
-    d = 2 ** (vp_lucas(2, n).order + 1)
-    return p // (3 * d) if n % 4 in (0, 1, 2) else p // d
-
-
-def run_decomposition(family: str, n: int, k: int) -> LcmDecomposition:
-    """Product, lcm and cofactor of one Fibonacci or Lucas run.
-
-    Closed forms are used for k <= 6; larger k falls back to folding
-    pairwise lcms over the exact big integers.
-    """
-    _require_family(family)
-    _check_run(n, k, k_min=1)
-    values = _family_values(family, n, k)
-    product = prod(values)
-    if k <= 6:
-        run_lcm = lcm_fib_run(n, k) if family == "fib" else lcm_lucas_run(n, k)
-    else:
-        run_lcm = reduce(lcm, values)
-    cofactor, remainder = divmod(product, run_lcm)
-    if remainder:
-        raise RuntimeError(
-            f"lcm of the {family} run ({n}, k={k}) does not divide its product")
-    return LcmDecomposition(product=product, lcm=run_lcm, cofactor=cofactor)
+    return _closed_run_lcm("lucas", n, k)
 
 
 def cofactor_f(n: int, k: int, family: str = "fib") -> int:
     """Cofactor (run product) / (run lcm) for a Fibonacci or Lucas run.
 
+    For k <= 6 this is the closed form in n, and no term of the run is
+    evaluated.  Larger k evaluates the run once and folds pairwise lcms
+    over the exact big integers.
+
     >>> cofactor_f(1, 5, "lucas")
     6
     """
-    return run_decomposition(family, n, k).cofactor
+    _require_family(family)
+    _check_run(n, k, k_min=1)
+    if k <= 6:
+        return _CLOSED_COFACTORS[family](n, k)
+    values = _family_values(family, n, k)
+    return _exact_quotient(prod(values), reduce(lcm, values), family, n, k)

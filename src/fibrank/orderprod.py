@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .bigmath import fib, lucas
 from .errors import BudgetExceededError
@@ -334,11 +334,13 @@ def resolve_budget(budget: int | None) -> int:
 def _prime_factors(m: int) -> tuple[int, ...]:
     """Sorted distinct prime factors by trial division (cofactors are small)."""
     factors = []
-    for p in range(2, isqrt(m) + 1):
+    p = 2
+    while p * p <= m:
         if m % p == 0:
             factors.append(p)
             while m % p == 0:
                 m //= p
+        p += 1
     if m > 1:
         factors.append(m)
     return tuple(factors)
@@ -350,7 +352,8 @@ def z_product_general(spec: ProductSpec) -> ZResult:
     With a = base_a(spec) and f the run cofactor, b divides F_{a*j} for
     every j that satisfies, for each prime p | f, v_p(F_{a*j}) >= v_p(b);
     the least such j is the answer.  Both sides come from the valuation
-    laws; the sequence values are evaluated only to find the cofactor f.
+    laws.  For k <= 6 f is a closed form in n and no term of the run is
+    evaluated; larger k evaluates the run once to find f.
     """
     vp = vp_fib if spec.family == "fib" else vp_lucas
     a = base_a(spec)

@@ -16,7 +16,6 @@ from fibrank import (
     lcm_run,
     lcm_run_closed,
     lucas,
-    run_decomposition,
     run_product,
 )
 
@@ -135,18 +134,34 @@ def test_lucas_runs_starting_at_one_and_two():
             assert lcm_lucas_run(n, k) == direct_lcm(values), (n, k)
 
 
-def test_decomposition_multiplies_out_exactly():
+def test_cofactor_is_the_product_over_the_folded_lcm():
     for family in ("fib", "lucas"):
-        for n in range(1, 61):
-            for k in (1, 3, 5, 6, 7, 9):
-                decomposition = run_decomposition(family, n, k)
-                assert decomposition.product == decomposition.lcm * decomposition.cofactor
-                assert decomposition.cofactor >= 1
+        evaluate = fib if family == "fib" else lucas
+        for n in range(1, 301):
+            values = [evaluate(n + i) for i in range(10)]
+            for k in range(1, 10):
+                run = values[:k + 1]
+                expected = math.prod(run) // direct_lcm(run)
+                assert cofactor_f(n, k, family) == expected, (family, n, k)
 
 
-def test_decomposition_rejects_unknown_families():
+@given(family=st.sampled_from(("fib", "lucas")),
+       n=st.integers(min_value=1, max_value=20_000),
+       k=st.integers(min_value=1, max_value=6))
+@settings(max_examples=20, deadline=None)
+def test_closed_cofactor_matches_the_run_at_large_n(family, n, k):
+    evaluate = fib if family == "fib" else lucas
+    run = [evaluate(n + i) for i in range(k + 1)]
+    assert cofactor_f(n, k, family) == math.prod(run) // direct_lcm(run)
+
+
+def test_cofactor_rejects_bad_runs():
     with pytest.raises(ValueError):
-        run_decomposition("pell", 3, 4)
+        cofactor_f(3, 4, "pell")
+    with pytest.raises(ValueError):
+        cofactor_f(0, 4)
+    with pytest.raises(ValueError):
+        cofactor_f(3, 0)
 
 
 def test_cofactor_small_values():

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fibrank.lcmkit
+import fibrank.orderprod
 from fibrank import (
     BudgetExceededError,
     DEFAULT_ORACLE_BUDGET,
@@ -225,20 +227,48 @@ def test_z_divides_its_product_with_per_prime_minimality():
     """b | F_z and b does not divide F_{z/p} for any prime p | z.
 
     Together these prove z is exactly the order of appearance of b,
-    via modular fast doubling only (no valuation laws involved).
+    via modular fast doubling only (no valuation laws involved).  The
+    closed tables are checked, and the general route on long runs
+    (k >= 20), whose cofactors carry large primes.
     """
     cells = [("fib", n, k) for n in range(3, 16) for k in (4, 5, 6)]
     cells += [("lucas", n, k) for n in range(3, 14) for k in (4, 5)]
     # 2-adic corner of the k = 6 table, where the correction to the
     # residue-table multiplier (16, not 8) lives:
     cells += [("fib", 18, 6), ("fib", 42, 6)]
-    for family, n, k in cells:
+    checks = [(z_product_closed, cell) for cell in cells]
+    checks += [(z_product_general, (family, n, k)) for family in FAMILIES
+               for n in (1, 3, 10) for k in (20, 24, 30)]
+    for route, (family, n, k) in checks:
         spec = ProductSpec(family, n, k)
-        result = z_product_closed(spec)
+        result = route(spec)
         product = run_product_value(spec)
         assert fib_mod(result.z, product) == 0, (family, n, k)
         for p in distinct_primes(result.z):
             assert fib_mod(result.z // p, product) != 0, (family, n, k, p)
+
+
+def test_general_route_evaluates_the_run_only_past_k_6(monkeypatch):
+    indices = []
+
+    def recording(evaluate):
+        def wrapper(i):
+            indices.append(i)
+            return evaluate(i)
+        return wrapper
+
+    for module in (fibrank.lcmkit, fibrank.orderprod):
+        for name in ("fib", "lucas"):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    for family in FAMILIES:
+        for k in range(1, 7):
+            z_product_general(ProductSpec(family, 1000, k))
+        assert max(indices, default=0) <= 6, family
+        indices.clear()
+        z_product_general(ProductSpec(family, 1000, 9))
+        # k > 6: the run is evaluated once, nothing else past index 6
+        assert sorted(i for i in indices if i > 6) == list(range(1000, 1010)), family
+        indices.clear()
 
 
 def test_oracle_route_refuses_over_budget_scans():
