@@ -18,7 +18,7 @@ import io
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from functools import cache
 
 from .bigmath import fib, lucas
 from .errors import BudgetExceededError
@@ -144,6 +144,7 @@ def _run_verify(family: str, n_lo: int, n_hi: int, ks: tuple[int, ...],
     else:
         chunks = [ns[i::jobs] for i in range(jobs)]
         work = [(family, chunk, ks, routes) for chunk in chunks if chunk]
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=len(work)) as pool:
             rows = [row for part in pool.map(_verify_chunk, work) for row in part]
     rows.sort(key=lambda row: (int(row["n"]), int(row["k"])))
@@ -345,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # built on first use, reused by every main()
 _HANDLERS = {
     "fib": _cmd_fib,
     "lucas": _cmd_fib,
@@ -360,9 +362,8 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()

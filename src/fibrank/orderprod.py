@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain, count
 from math import gcd, prod
 
-from .bigmath import fib, lucas
+from .bigmath import fib, is_prime, lucas, v_int
 from .errors import BudgetExceededError
 from .fibstruct import z_oracle
 from .lcmkit import FAMILIES, cofactor_f, lcm_run
@@ -36,8 +37,6 @@ BUDGET_ENV_VAR = "FIBRANK_ORACLE_BUDGET"
 ROUTE_CLOSED = "closed_form"
 ROUTE_GENERAL = "general"
 ROUTE_ORACLE = "oracle"
-
-_EXPONENT_CAP = 512
 
 
 @dataclass(frozen=True)
@@ -331,46 +330,48 @@ def resolve_budget(budget: int | None) -> int:
     return DEFAULT_ORACLE_BUDGET
 
 
-def _prime_factors(m: int) -> tuple[int, ...]:
-    """Sorted distinct prime factors by trial division (cofactors are small)."""
-    factors = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            factors.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        factors.append(m)
-    return tuple(factors)
+def _prime_factors(f: int, k: int) -> tuple[int, ...]:
+    """Sorted distinct primes of the run cofactor f, split by rank class.
+
+    Each prime of f divides two terms of the run, so z(p) <= k.  With
+    the primes of rank < d stripped, gcd(f, F_d) holds those of rank d,
+    each 5 or p ≡ ±1 (mod d) since z(p) | p - (5/p).
+
+    >>> _prime_factors(cofactor_f(1000, 64, "fib"), 64)[-2:]
+    (55945741, 2710260697)
+    """
+    primes = []
+    f_d, f_next = 2, 3
+    for d in range(3, k + 1):
+        g = gcd(f, f_d)
+        candidates = chain((5,) if d == 5 else (),
+                           (d * t + s for t in count(1) for s in (-1, 1)))
+        while g > 1:
+            p = g if is_prime(g) else next(q for q in candidates if g % q == 0)
+            primes.append(p)
+            g //= p ** v_int(p, g)
+            f //= p ** v_int(p, f)
+        f_d, f_next = f_next, f_d + f_next
+    if f > 1:
+        raise RuntimeError(f"cofactor part {f} has no prime of rank <= {k}")
+    return tuple(sorted(primes))
 
 
 def z_product_general(spec: ProductSpec) -> ZResult:
     """z(b) for any n, k >= 1 by per-prime valuation matching.
 
-    With a = base_a(spec) and f the run cofactor, b divides F_{a*j} for
-    every j that satisfies, for each prime p | f, v_p(F_{a*j}) >= v_p(b);
-    the least such j is the answer.  Both sides come from the valuation
-    laws.  For k <= 6 f is a closed form in n and no term of the run is
+    With a = base_a(spec), only primes of the run cofactor f can need
+    j > 1; they come by rank class, and z(p) | a gives v_p(F_{a*p^e}) =
+    v_p(F_a) + e (Lengyel 1995), so j = prod p^max(0, v_p(b) - v_p(F_a)).
+    For k <= 6 f is a closed form in n and no term of the run is
     evaluated; larger k evaluates the run once to find f.
     """
     vp = vp_fib if spec.family == "fib" else vp_lucas
     a = base_a(spec)
     f = cofactor_f(spec.n, spec.k, spec.family)
-    targets: dict[int, int] = {}
-    for p in _prime_factors(f):
-        targets[p] = sum(vp(p, spec.n + i).order for i in range(spec.k + 1))
-    j = 1
-    for p, target in targets.items():
-        for e in range(_EXPONENT_CAP + 1):
-            if vp_fib(p, a * p ** e).order >= target:
-                j *= p ** e
-                break
-        else:
-            raise RuntimeError(
-                f"no exponent of {p} up to {_EXPONENT_CAP} matches the "
-                f"valuation target for ({spec.family}, n={spec.n}, k={spec.k})")
+    targets = {p: sum(vp(p, spec.n + i).order for i in range(spec.k + 1))
+               for p in _prime_factors(f, spec.k)}
+    j = prod(p ** max(0, t - vp_fib(p, a).order) for p, t in targets.items())
     # Re-derive every valuation on the final candidate from the full law;
     # branch shifts under multiplication would surface here.
     for p, target in targets.items():
@@ -404,21 +405,19 @@ def z_product_closed(spec: ProductSpec, variant: str = "theorem") -> ZResult:
 def z_product_oracle(spec: ProductSpec, *, budget: int | None = None) -> ZResult:
     """z(b) by exact big-integer scan, guarded by a step budget.
 
-    The expected z is first computed by the general route; if it already
-    exceeds the budget the scan is refused so sweeps can skip
-    gracefully.  The scan itself is capped at the budget too.  a comes
-    from base_a, and ZResult rejects a z that a does not divide.
+    The general route gives the expected z and a.  An estimate over the
+    budget refuses the scan, so sweeps can skip gracefully; the scan itself
+    is capped at the budget too.  ZResult rejects a z that a does not divide.
     """
     steps = resolve_budget(budget)
-    estimate = z_product_general(spec).z
-    if estimate > steps:
+    general = z_product_general(spec)
+    if general.z > steps:
         raise BudgetExceededError(
-            f"z estimate {estimate} exceeds budget {steps} for "
+            f"z estimate {general.z} exceeds budget {steps} for "
             f"({spec.family}, n={spec.n}, k={spec.k})",
-            estimate=estimate, budget=steps)
+            estimate=general.z, budget=steps)
     z = z_oracle(run_product_value(spec), max_steps=steps)
-    a = base_a(spec)
-    return ZResult(z, a, z // a, 1, ROUTE_ORACLE)
+    return ZResult(z, general.base_a, z // general.base_a, 1, ROUTE_ORACLE)
 
 
 def corollary_plain_form(n: int) -> int:

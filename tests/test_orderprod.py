@@ -5,6 +5,7 @@ big-integer scanning oracle must agree wherever they overlap; these
 tests hold them to that and pin the table data itself.
 """
 
+import itertools
 import math
 
 import pytest
@@ -21,6 +22,7 @@ from fibrank import (
     corollary_plain_form,
     corollary_table,
     fib_mod,
+    is_prime,
     theorem_table,
     z_oracle,
     z_product_closed,
@@ -37,18 +39,36 @@ from fibrank.orderprod import (
 FAMILIES = ("fib", "lucas")
 
 
+def _rho_divisor(m):
+    """A proper divisor of the odd composite m by Pollard's rho."""
+    for c in itertools.count(1):
+        x = y = 2
+        d = 1
+        while d == 1:
+            x = (x * x + c) % m
+            y = (y * y + c) % m
+            y = (y * y + c) % m
+            d = math.gcd(x - y, m)
+        if d != m:
+            return d
+
+
 def distinct_primes(m):
-    factors = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            factors.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        factors.append(m)
-    return factors
+    """Sorted distinct primes of m: trial division below 1000, Pollard's
+    rho above, splitting until every part passes is_prime."""
+    primes = {p for p in range(2, 1000) if m % p == 0 and is_prime(p)}
+    for p in primes:
+        while m % p == 0:
+            m //= p
+    parts = [m] if m > 1 else []
+    while parts:
+        part = parts.pop()
+        if is_prime(part):
+            primes.add(part)
+        else:
+            d = _rho_divisor(part)
+            parts += [d, part // d]
+    return sorted(primes)
 
 
 def test_product_spec_validates_its_fields():
@@ -229,7 +249,8 @@ def test_z_divides_its_product_with_per_prime_minimality():
     Together these prove z is exactly the order of appearance of b,
     via modular fast doubling only (no valuation laws involved).  The
     closed tables are checked, and the general route on long runs
-    (k >= 20), whose cofactors carry large primes.
+    (k >= 20), whose cofactors carry large primes that only the
+    rank-class split finds quickly (fib n = 1, k = 100 among them).
     """
     cells = [("fib", n, k) for n in range(3, 16) for k in (4, 5, 6)]
     cells += [("lucas", n, k) for n in range(3, 14) for k in (4, 5)]
@@ -238,7 +259,8 @@ def test_z_divides_its_product_with_per_prime_minimality():
     cells += [("fib", 18, 6), ("fib", 42, 6)]
     checks = [(z_product_closed, cell) for cell in cells]
     checks += [(z_product_general, (family, n, k)) for family in FAMILIES
-               for n in (1, 3, 10) for k in (20, 24, 30)]
+               for n in (1, 3, 10) for k in (20, 24, 30, 64)]
+    checks += [(z_product_general, ("fib", 1, 100))]
     for route, (family, n, k) in checks:
         spec = ProductSpec(family, n, k)
         result = route(spec)
