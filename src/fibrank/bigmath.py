@@ -1,8 +1,9 @@
 """Arbitrary-precision integer primitives.
 
 Fibonacci and Lucas evaluation by fast doubling (plain and modular),
-gcd/lcm, p-adic valuation of integers, and a Miller-Rabin primality
-check used to validate arguments elsewhere in the package.
+gcd/lcm, p-adic valuation of integers, a Miller-Rabin primality check,
+and a factoriser (trial division, then Pollard rho) for the distinct
+primes of an integer.
 
 Conventions: F_0 = 0, F_1 = F_2 = 1 and L_0 = 2, L_1 = 1, L_2 = 3.
 """
@@ -10,6 +11,7 @@ Conventions: F_0 = 0, F_1 = F_2 = 1 and L_0 = 2, L_1 = 1, L_2 = 3.
 from __future__ import annotations
 
 import math
+from itertools import count
 
 gcd = math.gcd
 lcm = math.lcm
@@ -112,3 +114,39 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _large_primes(n: int) -> set[int]:
+    """Distinct primes of n > 1, which has no prime below 1000: Floyd's
+    Pollard rho on x -> x^2 + c, trying the next c when it finds only n."""
+    if is_prime(n):
+        return {n}
+    for c in count(1):
+        x = y = 2
+        g = 1
+        while g == 1:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            g = gcd(x - y, n)
+        if g != n:
+            return _large_primes(g) | _large_primes(n // g)
+
+
+def prime_factors(n: int) -> list[int]:
+    """Sorted distinct primes of n >= 1: trial division below 1000 until
+    p*p > n, then Pollard rho until every part passes is_prime.
+
+    >>> prime_factors(2 ** 10 * 5 * 104600155609 * 3317044064679887385961813)
+    [2, 5, 104600155609, 3317044064679887385961813]
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    primes = set()
+    for p in range(2, 1000):
+        if p * p > n:
+            break
+        if n % p == 0:
+            primes.add(p)
+            n //= p ** v_int(p, n)
+    return sorted(primes | _large_primes(n) if n > 1 else primes)

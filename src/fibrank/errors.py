@@ -2,10 +2,10 @@
 
 
 class ScanBoundError(RuntimeError):
-    """A residue scan ran past its mathematical termination bound.
+    """A rank computation broke a law it rests on: a residue scan ran past
+    z(m) <= 6m, or a prime p failed to divide F_{p - (5/p)}.
 
-    The rank of apparition of m is at most 6m, so hitting this means an
-    arithmetic bug, never a legitimate outcome.
+    Hitting this means an arithmetic bug, never a legitimate outcome.
     """
 
 

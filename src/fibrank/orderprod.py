@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import chain, count
 from math import gcd, prod
 
-from .bigmath import fib, is_prime, lucas, v_int
+from .bigmath import fib, lucas, prime_factors, v_int
 from .errors import BudgetExceededError
 from .fibstruct import z_oracle
 from .lcmkit import FAMILIES, cofactor_f, lcm_run
@@ -334,8 +333,8 @@ def _prime_factors(f: int, k: int) -> tuple[int, ...]:
     """Sorted distinct primes of the run cofactor f, split by rank class.
 
     Each prime of f divides two terms of the run, so z(p) <= k.  With
-    the primes of rank < d stripped, gcd(f, F_d) holds those of rank d,
-    each 5 or p ≡ ±1 (mod d) since z(p) | p - (5/p).
+    the primes of rank < d stripped, gcd(f, F_d) holds those of rank d;
+    each such gcd, at most F_d, is split by prime_factors.
 
     >>> _prime_factors(cofactor_f(1000, 64, "fib"), 64)[-2:]
     (55945741, 2710260697)
@@ -343,13 +342,8 @@ def _prime_factors(f: int, k: int) -> tuple[int, ...]:
     primes = []
     f_d, f_next = 2, 3
     for d in range(3, k + 1):
-        g = gcd(f, f_d)
-        candidates = chain((5,) if d == 5 else (),
-                           (d * t + s for t in count(1) for s in (-1, 1)))
-        while g > 1:
-            p = g if is_prime(g) else next(q for q in candidates if g % q == 0)
+        for p in prime_factors(gcd(f, f_d)):
             primes.append(p)
-            g //= p ** v_int(p, g)
             f //= p ** v_int(p, f)
         f_d, f_next = f_next, f_d + f_next
     if f > 1:

@@ -2,7 +2,7 @@
 
 Every valuation is computed from the index alone; the Fibonacci or Lucas
 number itself is never materialized.  The only sequence arithmetic that
-happens at all is modular: the z(p) scan and vp_fib_at_rank.
+happens at all is modular: the z(p) descent and vp_fib_at_rank.
 
 For a prime p, z(p) denotes the rank of apparition: the least i >= 1
 with p | F_i.
@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bigmath import fib_mod, is_prime, v_int
+from .bigmath import fib_mod, is_prime, prime_factors, v_int
 from .errors import ScanBoundError
-from .fibstruct import z_oracle
 
 # Branch labels for vp_fib.
 BRANCH_F2_COPRIME = "n≡1,2 (mod 3)"
@@ -57,13 +56,23 @@ def _require_index(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def rank_of_apparition_prime(p: int) -> int:
-    """z(p) for prime p, by the scanning oracle z_oracle.
-
-    The scan is bounded by 6p; running past that bound is an internal
-    arithmetic failure (ScanBoundError), not a valid outcome.
+    """z(p) for prime p, by descent from N = p - (5/p) (N = 3, 5 for
+    p = 2, 5), a multiple of z(p) by Lucas's law.  Strong divisibility
+    makes {i : p | F_i} = z(p)Z, so once p | F_N is checked (a failure
+    is an internal ScanBoundError), stripping each prime q of N while
+    p | F_{N/q} leaves z(p) exactly.
     """
     _require_prime(p)
-    return z_oracle(p)
+    if p in (2, 5):
+        n = 3 if p == 2 else 5
+    else:  # (5/p) by Euler's criterion
+        n = p - 1 if pow(5, (p - 1) // 2, p) == 1 else p + 1
+    if fib_mod(n, p) != 0:
+        raise ScanBoundError(f"{p} does not divide F_{n}")
+    for q in prime_factors(n):
+        while n % q == 0 and fib_mod(n // q, p) == 0:
+            n //= q
+    return n
 
 
 @lru_cache(maxsize=None)

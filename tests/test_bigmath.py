@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrank import fib, fib_mod, gcd, is_prime, lcm, lucas, v_int
-from fibrank.bigmath import fib_pair_mod
+from fibrank.bigmath import fib_pair_mod, prime_factors
 
 
 def test_fib_base_values():
@@ -150,3 +150,17 @@ def test_fib_at_ten_million_is_feasible():
     value = fib(10**7)
     assert value.bit_length() == 6942418
     assert value % 10**9 == fib_mod(10**7, 10**9)
+
+
+def test_prime_factors_against_trial_division_and_rho_products():
+    for n in range(1, 3000):
+        expected = [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+        assert prime_factors(n) == expected, n
+    large = [p for p in range(1000, 1100) if is_prime(p)]
+    for p in large:
+        for q in large:
+            assert prime_factors(6 * p * q**3) == sorted({2, 3, p, q}), (p, q)
+    assert prime_factors(1000003 * 10000019**2 * (2**89 - 1)) == [
+        1000003, 10000019, 2**89 - 1]
+    with pytest.raises(ValueError):
+        prime_factors(0)

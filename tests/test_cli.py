@@ -38,6 +38,16 @@ def test_vp_command_reports_order_and_branch(capsys):
     assert out.startswith("2 [")
 
 
+def test_vp_at_a_prime_of_rank_above_ten_million(capsys):
+    # z(10000019) = 10000018, which a scan takes ~1 s to reach
+    code, out, _ = run_cli(capsys, "vp", "fib", "10000019", "7")
+    assert code == 0
+    assert out.startswith("0 [")
+    code, out, _ = run_cli(capsys, "vp", "fib", "10000019", str(10000018 * 7))
+    assert code == 0
+    assert out.startswith("1 [")
+
+
 def test_vp_rejects_bad_prime_with_usage_exit(capsys):
     code, _, err = run_cli(capsys, "vp", "lucas", "5", "7")
     assert code == 2

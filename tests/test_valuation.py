@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from fibrank import (
     fib,
+    fib_mod,
     is_prime,
     rank_of_apparition_prime,
     v_int,
@@ -13,6 +14,8 @@ from fibrank import (
     vp_fib_at_rank,
     vp_lucas,
 )
+from fibrank import fibstruct, valuation
+from fibrank.bigmath import prime_factors
 from fibrank.valuation import (
     BRANCH_F2_COPRIME,
     BRANCH_F2_FULL,
@@ -44,7 +47,7 @@ def test_rank_rejects_composites():
 
 
 def test_rank_is_the_first_zero_residue_and_within_bound():
-    for p in range(2, 300):
+    for p in range(2, 20_000):
         if not is_prime(p):
             continue
         first = None
@@ -55,8 +58,28 @@ def test_rank_is_the_first_zero_residue_and_within_bound():
                 first = i
                 break
         z = rank_of_apparition_prime(p)
-        assert z == first
+        assert z == first, p
         assert z <= 6 * p
+
+
+def test_rank_of_a_prime_the_scan_cannot_reach():
+    p = 3317044064679887385961813  # p ≡ 3 (mod 5), so (5/p) = -1
+    z = rank_of_apparition_prime(p)
+    assert (p + 1) % z == 0
+    assert fib_mod(z, p) == 0
+    assert all(fib_mod(z // q, p) != 0 for q in prime_factors(z))
+
+
+def test_rank_never_scans(monkeypatch):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("z_oracle called")
+
+    monkeypatch.setattr(fibstruct, "z_oracle", no_scan)
+    monkeypatch.setattr(valuation, "z_oracle", no_scan, raising=False)
+    rank_of_apparition_prime.cache_clear()
+    assert [rank_of_apparition_prime(p) for p in (2, 3, 5, 7, 89, 10000019)] == [
+        3, 4, 5, 8, 11, 10000018]
+    assert vp_fib(10000019, 10000018 * 7).order == 1
 
 
 def test_vp_fib_examples_with_branches():
