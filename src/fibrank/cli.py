@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -139,13 +140,13 @@ def _verify_chunk(args: tuple) -> list[dict]:
 def _run_verify(family: str, n_lo: int, n_hi: int, ks: tuple[int, ...],
                 routes: tuple[str, ...], jobs: int) -> list[dict]:
     ns = list(range(n_lo, n_hi + 1))
-    if jobs <= 1 or len(ns) <= 1:
+    workers = min(jobs, len(ns), os.cpu_count() or 1)
+    if workers <= 1:
         rows = _verify_chunk((family, ns, ks, routes))
     else:
-        chunks = [ns[i::jobs] for i in range(jobs)]
-        work = [(family, chunk, ks, routes) for chunk in chunks if chunk]
+        work = [(family, ns[i::workers], ks, routes) for i in range(workers)]
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=len(work)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = [row for part in pool.map(_verify_chunk, work) for row in part]
     rows.sort(key=lambda row: (int(row["n"]), int(row["k"])))
     return rows
@@ -203,6 +204,8 @@ def _cmd_zprod(args):
 def _cmd_verify(args):
     if args.n_min > args.n_max:
         raise ValueError(f"empty range: n_min {args.n_min} > n_max {args.n_max}")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     ks = _parse_int_set(args.ks, "k")
     routes = tuple(_parse_name_set(args.routes, ROUTES, "route"))
     for k in ks:
@@ -251,11 +254,10 @@ def _cmd_table(args):
             "otherwise": branch.otherwise,
         })
     record = _record("table", {"family": args.family, "k": str(args.k)},
-                     {"c": "1" if table.c_offsets is None
-                      else f"(5,{'n' if table.c_offsets == (0,) else 'n(n+1)'})",
+                     {"c": "1" if table.c is None else table.c.label(),
                       "rows": rows})
     lines = [f"closed form for {args.family}, k={args.k} "
-             f"(z = multiplier x a{' x c' if table.c_offsets else ''})"]
+             f"(z = multiplier x a{' x c' if table.c else ''})"]
     for row in rows:
         lines.append(f"{row['multiplier']:<40} {row['case']}")
     csv_rows = [{"family": args.family, "k": str(args.k),
@@ -337,7 +339,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("routes", nargs="?", default="closed,general",
                    help="comma-separated routes (default: closed,general)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="partition the n range over this many processes")
+                   help="partition the n range over this many processes, "
+                        "at most one per CPU and one per n")
 
     p = sub.add_parser("table", parents=[common],
                        help="print the stored residue table for a closed form")

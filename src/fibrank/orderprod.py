@@ -89,8 +89,8 @@ def _poly_label(offsets: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class GcdTerm:
-    """One factor gcd(modulus, poly(n)) in a table denominator, with
-    poly(n) the product of (n + offset) over the stored offsets."""
+    """One factor gcd(modulus, poly(n)), in a table denominator or as its
+    c, with poly(n) the product of (n + offset) over the stored offsets."""
 
     modulus: int
     offsets: tuple[int, ...]
@@ -158,22 +158,17 @@ class TableBranch:
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """Branches of one closed form.  c_offsets, when set, add the factor
-    c = gcd(5, prod(n + o)) to every branch."""
+    """Branches of one closed form.  c, when set, is a factor
+    gcd(5, poly(n)) of every branch."""
 
     family: str
     k: int
     variant: str
-    c_offsets: tuple[int, ...] | None
+    c: GcdTerm | None
     branches: tuple[TableBranch, ...]
 
-    def c_value(self, n: int) -> int:
-        if self.c_offsets is None:
-            return 1
-        return gcd(5, prod(n + o for o in self.c_offsets))
-
     def c_suffix(self) -> str:
-        return "a" if self.c_offsets is None else "ac"
+        return "a" if self.c is None else "ac"
 
     def lookup(self, n: int) -> TableBranch:
         fallback = None
@@ -204,13 +199,13 @@ _THEOREM_TABLES: dict[tuple[str, int], ResidueTable] = {
         _branch(_mult(3), (72, (12, 32, 36, 56))),
         _branch(_mult(6), (72, (0, 20, 48, 68))),
     )),
-    ("fib", 5): ResidueTable("fib", 5, "theorem", (0,), (
+    ("fib", 5): ResidueTable("fib", 5, "theorem", GcdTerm(5, (0,)), (
         _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6)), (72, (7, 8, 59, 60))),
         _branch(_mult(2), (12, (9, 10)), (72, (23, 24, 43, 44))),
         _branch(_mult(3), (72, (11, 12, 31, 32, 35, 36, 55, 56))),
         _branch(_mult(6), (72, (0, 19, 20, 47, 48, 67, 68, 71))),
     )),
-    ("fib", 6): ResidueTable("fib", 6, "theorem", (0, 1), (
+    ("fib", 6): ResidueTable("fib", 6, "theorem", GcdTerm(5, (0, 1)), (
         _branch(_mult(1), (12, (1, 2, 3, 4, 5))),
         _branch(_mult(1728, (64, (2,)), (27, (0, 3))), (24, (6,))),
         # For n ≡ 18 (mod 24): v_2(b) = v_2(n+6) + 6 while 6 | aj gives
@@ -246,7 +241,7 @@ _COROLLARY_TABLES: dict[tuple[str, int], ResidueTable] = {
         _branch(_mult(72, (8, (0,)), (9, (1,))), (12, (8,))),
         _branch(_mult(72, (8, (4,)), (9, (3,))), (12, (0,))),
     )),
-    ("fib", 5): ResidueTable("fib", 5, "corollary", (0,), (
+    ("fib", 5): ResidueTable("fib", 5, "corollary", GcdTerm(5, (0,)), (
         _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6))),
         _branch(_mult(2), (12, (9, 10))),
         _branch(_mult(72, (8, (1,)), (9, (2,))), (12, (7,))),
@@ -391,7 +386,7 @@ def z_product_closed(spec: ProductSpec, variant: str = "theorem") -> ZResult:
     branch = table.lookup(spec.n)
     a = base_a(spec)
     multiplier = branch.multiplier.value(spec.n)
-    c = table.c_value(spec.n)
+    c = 1 if table.c is None else table.c.value(spec.n)
     return ZResult(a * multiplier * c, a, multiplier, c, ROUTE_CLOSED,
                    branch.matched_case(spec.n))
 

@@ -44,11 +44,6 @@ class ValuationLawResult:
     branch: str
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-
-
 def _require_index(n: int) -> None:
     if n < 1:
         raise ValueError("index must be at least 1")
@@ -61,8 +56,14 @@ def rank_of_apparition_prime(p: int) -> int:
     makes {i : p | F_i} = z(p)Z, so once p | F_N is checked (a failure
     is an internal ScanBoundError), stripping each prime q of N while
     p | F_{N/q} leaves z(p) exactly.
+
+    This is the laws' one primality gate: every law reaches it before it
+    uses p, and a non-prime p raises ValueError here.  lru_cache stores
+    no exception, so a composite p raises again on every call, while a
+    prime is tested once per process.
     """
-    _require_prime(p)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if p in (2, 5):
         n = 3 if p == 2 else 5
     else:  # (5/p) by Euler's criterion
@@ -82,9 +83,9 @@ def vp_fib_at_rank(p: int) -> int:
     Found by evaluating F_z(p) modulo p**e for growing e until a nonzero
     residue appears.  The exponent is capped at 64: every prime ever
     checked has order 1, and a cap violation would merely mean this
-    machine cannot settle the valuation, so it is a hard error.
+    machine cannot settle the valuation, so it is a hard error.  A
+    non-prime p raises ValueError through rank_of_apparition_prime.
     """
-    _require_prime(p)
     if p in (2, 5):
         raise ValueError("the laws for p = 2 and p = 5 are fully explicit")
     z = rank_of_apparition_prime(p)
@@ -101,7 +102,8 @@ def vp_fib(p: int, n: int) -> ValuationLawResult:
     """Order of prime p in F_n, straight from the closed-form laws.
 
     p = 2 branches on n mod 6, p = 5 reduces to v_5(n), and any other
-    prime contributes v_p(n) + v_p(F_z(p)) exactly when z(p) | n.
+    prime contributes v_p(n) + v_p(F_z(p)) exactly when z(p) | n.  A
+    non-prime p raises ValueError through rank_of_apparition_prime.
 
     >>> vp_fib(2, 6).order    # F_6 = 8
     3
@@ -116,7 +118,6 @@ def vp_fib(p: int, n: int) -> ValuationLawResult:
         return ValuationLawResult(p, n, v_int(2, n) + 2, BRANCH_F2_FULL)
     if p == 5:
         return ValuationLawResult(p, n, v_int(5, n), BRANCH_F5)
-    _require_prime(p)
     z = rank_of_apparition_prime(p)
     if n % z == 0:
         order = v_int(p, n) + vp_fib_at_rank(p)
@@ -129,13 +130,14 @@ def vp_lucas(p: int, n: int) -> ValuationLawResult:
 
     p = 2 branches on n mod 6.  An odd prime divides a Lucas number only
     when z(p) is even and n sits in the half-rank class z(p)/2 mod z(p),
-    where it contributes v_p(n) + v_p(F_z(p)).
+    where it contributes v_p(n) + v_p(F_z(p)).  A non-prime p raises
+    ValueError through rank_of_apparition_prime.
 
-    There is no closed 5-adic law; callers needing v_5(L_n) must factor
-    directly (in fact no Lucas number is divisible by 5).
+    p = 5 is rejected with ValueError: no Lucas number is divisible by 5
+    (v_5(L_n) = 0 for every n), so no route ever asks for it.
     """
     if p == 5:
-        raise ValueError("no closed 5-adic law for Lucas numbers; factor directly")
+        raise ValueError("p = 5 is rejected: no Lucas number is divisible by 5")
     _require_index(n)
     if p == 2:
         r = n % 6
@@ -144,7 +146,6 @@ def vp_lucas(p: int, n: int) -> ValuationLawResult:
         if r == 3:
             return ValuationLawResult(p, n, 2, BRANCH_L2_DOUBLE)
         return ValuationLawResult(p, n, 1, BRANCH_L2_SINGLE)
-    _require_prime(p)
     z = rank_of_apparition_prime(p)
     if z % 2 == 0 and n % z == z // 2:
         order = v_int(p, n) + vp_fib_at_rank(p)

@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, sweeps, tables."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -124,6 +126,38 @@ def test_verify_with_jobs_gives_identical_output(capsys):
     assert out_single == out_forked
 
 
+def test_verify_caps_jobs_at_cpus_and_range(capsys, monkeypatch):
+    # a fake pool maps in process and records its size: no process starts
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    args = ("verify", "fib", "1", "3", "4,5")
+    code, out_single, _ = run_cli(capsys, *args, "--jobs", "1")
+    assert code == 0 and sizes == []
+    for cpus, expected in ((2, [2]), (8, [3]), (None, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        sizes.clear()
+        code, out, _ = run_cli(capsys, *args, "--jobs", "1000000000")
+        assert code == 0 and out == out_single
+        assert sizes == expected
+    code, _, err = run_cli(capsys, *args, "--jobs", "0")
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_verify_empty_range_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "fib", "1", "0", "4")
     assert code == 2
@@ -157,6 +191,11 @@ def test_table_text_and_json(capsys):
     multipliers = [row["multiplier"] for row in record["result"]["rows"]]
     assert multipliers == ["3a", "a"]
     assert record["result"]["rows"][1]["otherwise"] is True
+    assert record["result"]["c"] == "1"
+    for k, c in (("4", "1"), ("5", "(5,n)"), ("6", "(5,n(n+1))")):
+        code, out, _ = run_cli(capsys, "table", "fib", k, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["result"]["c"] == c
     assert record["ms"] > 0  # timed like every other command
 
 

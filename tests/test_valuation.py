@@ -122,14 +122,32 @@ def test_no_lucas_number_is_divisible_by_five(lucas_table):
 
 
 def test_laws_reject_non_prime_p_and_bad_indices():
-    with pytest.raises(ValueError):
-        vp_fib(9, 10)
-    with pytest.raises(ValueError):
-        vp_lucas(9, 10)
+    # lru_cache stores no exception: a composite p raises on every call
+    for call in (lambda: vp_fib(9, 10), lambda: vp_fib(9, 10),
+                 lambda: vp_lucas(9, 10), lambda: vp_fib_at_rank(9)):
+        with pytest.raises(ValueError):
+            call()
     with pytest.raises(ValueError):
         vp_fib(3, 0)
     with pytest.raises(ValueError):
         vp_lucas(3, 0)
+
+
+def test_laws_test_a_prime_once(monkeypatch):
+    calls = []
+
+    def counting_is_prime(p):
+        calls.append(p)
+        return is_prime(p)
+
+    monkeypatch.setattr(valuation, "is_prime", counting_is_prime)
+    rank_of_apparition_prime.cache_clear()
+    vp_fib_at_rank.cache_clear()
+    for n in range(1, 301):
+        vp_fib(89, n)
+        vp_lucas(89, n)
+    vp_fib_at_rank(89)
+    assert calls == [89]
 
 
 def test_laws_match_direct_factoring(fib_table, lucas_table):
