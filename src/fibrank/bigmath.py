@@ -11,7 +11,7 @@ Conventions: F_0 = 0, F_1 = F_2 = 1 and L_0 = 2, L_1 = 1, L_2 = 3.
 from __future__ import annotations
 
 import math
-from itertools import count
+from itertools import chain, count
 
 gcd = math.gcd
 lcm = math.lcm
@@ -89,9 +89,13 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the prime bases 2..41.
+    """Trial division by the prime bases 2..41, then Miller-Rabin in two
+    tiers.
 
-    Deterministic below psi_13 = 3317044064679887385961981 (about 3.3e24;
+    Below 3215031751 the bases 2, 3, 5, 7 are deterministic (Jaeschke,
+    Math. Comp. 1993); 3215031751 = 151 * 751 * 28351 is the least strong
+    pseudoprime to all four.  From there on all thirteen bases 2..41 run,
+    deterministic below psi_13 = 3317044064679887385961981 (about 3.3e24;
     Sorenson and Webster, Math. Comp. 2017); above that bound it is a
     strong probable-prime test.
     """
@@ -103,7 +107,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = ((d & -d).bit_length()) - 1
     d >>= s
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES if n >= 3215031751 else _MR_WITNESSES[:4]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -134,19 +138,25 @@ def _large_primes(n: int) -> set[int]:
 
 
 def prime_factors(n: int) -> list[int]:
-    """Sorted distinct primes of n >= 1: trial division below 1000 until
-    p*p > n, then Pollard rho until every part passes is_prime.
+    """Sorted distinct primes of n >= 1: trial division by 2 and the odd
+    numbers below 1000 until p*p > n, then Pollard rho until every part
+    passes is_prime.  A survivor of the trial division that stops at
+    p*p > n has no prime below p, so it is 1 or a prime, and it is
+    returned as it is; only one that outlasts the candidates goes on to
+    is_prime and rho.
 
+    >>> prime_factors(2 * 104729)
+    [2, 104729]
     >>> prime_factors(2 ** 10 * 5 * 104600155609 * 3317044064679887385961813)
     [2, 5, 104600155609, 3317044064679887385961813]
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    primes = set()
-    for p in range(2, 1000):
+    primes = []
+    for p in chain((2,), range(3, 1000, 2)):
         if p * p > n:
-            break
+            return primes + [n] if n > 1 else primes
         if n % p == 0:
-            primes.add(p)
+            primes.append(p)
             n //= p ** v_int(p, n)
-    return sorted(primes | _large_primes(n) if n > 1 else primes)
+    return primes + sorted(_large_primes(n))

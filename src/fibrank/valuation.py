@@ -53,9 +53,10 @@ def _require_index(n: int) -> None:
 def rank_of_apparition_prime(p: int) -> int:
     """z(p) for prime p, by descent from N = p - (5/p) (N = 3, 5 for
     p = 2, 5), a multiple of z(p) by Lucas's law.  Strong divisibility
-    makes {i : p | F_i} = z(p)Z, so once p | F_N is checked (a failure
-    is an internal ScanBoundError), stripping each prime q of N while
-    p | F_{N/q} leaves z(p) exactly.
+    makes {i : p | F_i} = z(p)Z, so stripping each prime q of N while
+    p | F_{N/q} leaves z(p) exactly, given p | F_N.  That is evaluated
+    after the descent, and only if nothing was stripped (a failure is an
+    internal ScanBoundError).
 
     This is the laws' one primality gate: every law reaches it before it
     uses p, and a non-prime p raises ValueError here.  lru_cache stores
@@ -68,30 +69,37 @@ def rank_of_apparition_prime(p: int) -> int:
         n = 3 if p == 2 else 5
     else:  # (5/p) by Euler's criterion
         n = p - 1 if pow(5, (p - 1) // 2, p) == 1 else p + 1
-    if fib_mod(n, p) != 0:
-        raise ScanBoundError(f"{p} does not divide F_{n}")
+    z = n
     for q in prime_factors(n):
-        while n % q == 0 and fib_mod(n // q, p) == 0:
-            n //= q
-    return n
+        while z % q == 0 and fib_mod(z // q, p) == 0:
+            z //= q
+    # Each strip proved p | F_z for the z it left, so only an unstripped
+    # N still needs p | F_N evaluated.
+    if z == n and fib_mod(n, p) != 0:
+        raise ScanBoundError(f"{p} does not divide F_{n}")
+    return z
 
 
 @lru_cache(maxsize=None)
 def vp_fib_at_rank(p: int) -> int:
     """v_p(F_z(p)) for a prime p not in {2, 5}.
 
-    Found by evaluating F_z(p) modulo p**e for growing e until a nonzero
-    residue appears.  The exponent is capped at 64: every prime ever
-    checked has order 1, and a cap violation would merely mean this
-    machine cannot settle the valuation, so it is a hard error.  A
-    non-prime p raises ValueError through rank_of_apparition_prime.
+    Found by evaluating F_z(p) modulo p**e for growing e from 2 until a
+    nonzero residue appears; the residue mod p**2 also re-checks
+    p | F_z.  The exponent is capped at 64: every prime ever checked has
+    order 1, and a cap violation would merely mean this machine cannot
+    settle the valuation, so it is a hard error.  A non-prime p raises
+    ValueError through rank_of_apparition_prime.
     """
     if p in (2, 5):
         raise ValueError("the laws for p = 2 and p = 5 are fully explicit")
     z = rank_of_apparition_prime(p)
-    if fib_mod(z, p) != 0:
+    r = fib_mod(z, p * p)
+    if r % p != 0:
         raise ScanBoundError(f"rank of apparition of {p} is inconsistent")
-    for e in range(2, _VALUATION_CAP + 2):
+    if r != 0:
+        return 1
+    for e in range(3, _VALUATION_CAP + 2):
         if fib_mod(z, p ** e) != 0:
             return e - 1
     raise ScanBoundError(

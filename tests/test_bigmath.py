@@ -1,5 +1,7 @@
 """Arithmetic primitives: fast doubling, modular evaluation, valuations."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,6 +139,13 @@ def test_is_prime_on_carmichael_numbers_and_large_inputs():
     assert not is_prime((2**61 - 1) * (2**89 - 1))
     # a strong pseudoprime to every prime base up to 37; base 41 exposes it
     assert not is_prime(318665857834031151167461)  # 399165290221 * 798330580441
+    # the least strong pseudoprime to bases 2, 3, 5, 7: the first n that
+    # needs the thirteen-base tier
+    bound = 3215031751  # 151 * 751 * 28351
+    assert not is_prime(bound)
+    for n in range(bound - 200, bound + 201, 2):
+        by_trial = all(n % d for d in range(3, math.isqrt(n) + 1, 2))
+        assert is_prime(n) == by_trial, n
 
 
 def test_thousand_digit_values_round_trip_decimal_strings():

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrank import (
+    ScanBoundError,
     fib,
     fib_mod,
     is_prime,
@@ -148,6 +149,59 @@ def test_laws_test_a_prime_once(monkeypatch):
         vp_lucas(89, n)
     vp_fib_at_rank(89)
     assert calls == [89]
+
+
+def test_a_fresh_prime_evaluates_each_residue_once(monkeypatch):
+    calls = []
+
+    def counting_fib_mod(n, m):
+        calls.append((n, m))
+        return fib_mod(n, m)
+
+    monkeypatch.setattr(valuation, "fib_mod", counting_fib_mod)
+    rank_of_apparition_prime.cache_clear()
+    vp_fib_at_rank.cache_clear()
+    # N = 88 halves three times to 11, then F_1 fails; F_88 is never needed
+    assert rank_of_apparition_prime(89) == 11
+    assert calls == [(44, 89), (22, 89), (11, 89), (1, 89)]
+    calls.clear()
+    assert vp_fib_at_rank(89) == 1
+    assert calls == [(11, 89 * 89)]
+    calls.clear()
+    # N = 8 is z(7) itself: nothing is stripped, so F_8 is evaluated
+    assert rank_of_apparition_prime(7) == 8
+    assert calls == [(4, 7), (8, 7)]
+
+
+@pytest.fixture
+def fake_fib_mod(monkeypatch):
+    """Install a fake fib_mod with z(89) cached; clear both caches after."""
+    rank_of_apparition_prime(89)
+    vp_fib_at_rank.cache_clear()
+    yield lambda fake: monkeypatch.setattr(valuation, "fib_mod", fake)
+    rank_of_apparition_prime.cache_clear()
+    vp_fib_at_rank.cache_clear()
+
+
+def test_constant_at_rank_reads_higher_orders_and_errors(fake_fib_mod):
+    p = 89
+    fake_fib_mod(lambda n, m: 0 if m <= p**2 else p**2)
+    assert vp_fib_at_rank(p) == 2
+    vp_fib_at_rank.cache_clear()
+    fake_fib_mod(lambda n, m: 0)
+    with pytest.raises(ScanBoundError, match="exceeds 64"):
+        vp_fib_at_rank(p)
+    fake_fib_mod(lambda n, m: 1)
+    with pytest.raises(ScanBoundError, match="inconsistent"):
+        vp_fib_at_rank(p)
+
+
+def test_rank_raises_when_p_divides_no_term(fake_fib_mod):
+    fake_fib_mod(lambda n, m: 1)
+    rank_of_apparition_prime.cache_clear()
+    for p in (7, 89):
+        with pytest.raises(ScanBoundError, match="does not divide"):
+            rank_of_apparition_prime(p)
 
 
 def test_laws_match_direct_factoring(fib_table, lucas_table):
