@@ -1,7 +1,7 @@
 """Order of appearance of integers in the Fibonacci sequence, with
 closed forms for products of consecutive Fibonacci and Lucas numbers."""
 
-from .bigmath import fib, fib_mod, gcd, is_prime, lcm, lucas, v_int
+from .bigmath import fib, fib_mod, is_prime, lucas, v_int
 from .errors import BudgetExceededError, ScanBoundError
 from .fibstruct import (
     GcdCaseResult,
@@ -57,12 +57,10 @@ __all__ = [
     "fib_divides",
     "fib_mod",
     "g_rec",
-    "gcd",
     "gcd_fib",
     "gcd_fib_lucas",
     "gcd_lucas_lucas",
     "is_prime",
-    "lcm",
     "lcm_fib_run",
     "lcm_lucas_run",
     "lcm_run",

@@ -1,20 +1,17 @@
 """Arbitrary-precision integer primitives.
 
 Fibonacci and Lucas evaluation by fast doubling (plain and modular),
-gcd/lcm, p-adic valuation of integers, a Miller-Rabin primality check,
-and a factoriser (trial division, then Pollard rho) for the distinct
-primes of an integer.
+p-adic valuation of integers, a Miller-Rabin primality check, and a
+factoriser (trial division, then Pollard rho) for the distinct primes
+of an integer.
 
 Conventions: F_0 = 0, F_1 = F_2 = 1 and L_0 = 2, L_1 = 1, L_2 = 3.
 """
 
 from __future__ import annotations
 
-import math
 from itertools import chain, count
-
-gcd = math.gcd
-lcm = math.lcm
+from math import gcd
 
 
 def _fib_pair(n: int, m: int | None = None) -> tuple[int, int]:

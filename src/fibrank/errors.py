@@ -2,10 +2,13 @@
 
 
 class ScanBoundError(RuntimeError):
-    """A rank computation broke a law it rests on: a residue scan ran past
-    z(m) <= 6m, or a prime p failed to divide F_{p - (5/p)}.
+    """A rank computation could not be completed from the laws it rests on.
 
-    Hitting this means an arithmetic bug, never a legitimate outcome.
+    The scan bound z(m) <= 6m, p | F_{p - (5/p)} and p | F_z(p) (the
+    "inconsistent" check of vp_fib_at_rank) are theorems, so breaking one
+    means an arithmetic bug.  vp_fib_at_rank also raises it when
+    v_p(F_z(p)) exceeds its cap of 64: that means the valuation cannot be
+    settled there, not that the arithmetic is wrong.
     """
 
 

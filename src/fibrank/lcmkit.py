@@ -2,7 +2,9 @@
 Fibonacci numbers, consecutive Lucas numbers.
 
 A "run" is n, n+1, ..., n+k (k+1 terms).  The product of a run always
-equals its lcm times a small cofactor; the cofactor for integer runs
+equals its lcm times a cofactor, which need not be small: for F_1000,
+..., F_{1000+k} it has 861 bits at k = 64 (the prime 2710260697 among
+its factors) and 8544 at k = 200.  The cofactor for integer runs
 follows a gcd recursion.  For k <= 6 every cofactor is a closed form in
 n; only cofactor_f at k > 6 folds lcms over the exact run.
 """

@@ -127,39 +127,41 @@ class Multiplier:
 Condition = tuple[int, tuple[int, ...]]  # (modulus, residues)
 
 
-def _condition_label(conditions: tuple[Condition, ...], otherwise: bool) -> str:
-    if otherwise:
-        return "otherwise"
-    return " or ".join(
-        f"n≡{','.join(str(r) for r in residues)} (mod {modulus})"
-        for modulus, residues in conditions)
+def _matched_case(conditions: tuple[Condition, ...], n: int) -> str:
+    """The first congruence n satisfies, e.g. "n≡8 (mod 72)", or "" if none."""
+    for modulus, residues in conditions:
+        if n % modulus in residues:
+            return f"n≡{n % modulus} (mod {modulus})"
+    return ""
 
 
 @dataclass(frozen=True)
 class TableBranch:
+    """One row of a table; the row with no conditions is the fallback."""
+
     multiplier: Multiplier
     conditions: tuple[Condition, ...]
-    otherwise: bool = False
+
+    @property
+    def otherwise(self) -> bool:
+        return not self.conditions
 
     def matches(self, n: int) -> bool:
-        return any(n % modulus in residues for modulus, residues in self.conditions)
-
-    def matched_case(self, n: int) -> str:
-        """The one congruence this n satisfies, e.g. "n≡8 (mod 72)"."""
-        for modulus, residues in self.conditions:
-            if n % modulus in residues:
-                return f"n≡{n % modulus} (mod {modulus})"
-        return "otherwise"
+        return bool(_matched_case(self.conditions, n))
 
     @property
     def case_label(self) -> str:
-        return _condition_label(self.conditions, self.otherwise)
+        if self.otherwise:
+            return "otherwise"
+        return " or ".join(
+            f"n≡{','.join(str(r) for r in residues)} (mod {modulus})"
+            for modulus, residues in self.conditions)
 
 
 @dataclass(frozen=True)
 class ResidueTable:
-    """Branches of one closed form.  c, when set, is a factor
-    gcd(5, poly(n)) of every branch."""
+    """Branches of one closed form, any fallback last.  c, when set, is a
+    factor gcd(5, poly(n)) of every branch."""
 
     family: str
     k: int
@@ -170,15 +172,13 @@ class ResidueTable:
     def c_suffix(self) -> str:
         return "a" if self.c is None else "ac"
 
-    def lookup(self, n: int) -> TableBranch:
-        fallback = None
+    def lookup(self, n: int) -> tuple[TableBranch, str]:
+        """The branch n falls in, with the congruence it matched
+        ("otherwise" for the fallback)."""
         for branch in self.branches:
-            if branch.otherwise:
-                fallback = branch
-            elif branch.matches(n):
-                return branch
-        if fallback is not None:
-            return fallback
+            case = _matched_case(branch.conditions, n)
+            if case or branch.otherwise:
+                return branch, case or "otherwise"
         raise RuntimeError(
             f"residue table ({self.family}, k={self.k}) has no branch for n={n}")
 
@@ -187,68 +187,67 @@ def _mult(numerator: int, *terms: tuple[int, tuple[int, ...]]) -> Multiplier:
     return Multiplier(numerator, tuple(GcdTerm(m, offs) for m, offs in terms))
 
 
-def _branch(multiplier: Multiplier, *conditions: Condition,
-            otherwise: bool = False) -> TableBranch:
-    return TableBranch(multiplier, conditions, otherwise)
+def _branch(multiplier: Multiplier, *conditions: Condition) -> TableBranch:
+    return TableBranch(multiplier, conditions)
 
 
-_THEOREM_TABLES: dict[tuple[str, int], ResidueTable] = {
-    ("fib", 4): ResidueTable("fib", 4, "theorem", None, (
-        _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6, 7, 10)), (72, (8, 60))),
-        _branch(_mult(2), (12, (9, 11)), (72, (24, 44))),
-        _branch(_mult(3), (72, (12, 32, 36, 56))),
-        _branch(_mult(6), (72, (0, 20, 48, 68))),
-    )),
-    ("fib", 5): ResidueTable("fib", 5, "theorem", GcdTerm(5, (0,)), (
-        _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6)), (72, (7, 8, 59, 60))),
-        _branch(_mult(2), (12, (9, 10)), (72, (23, 24, 43, 44))),
-        _branch(_mult(3), (72, (11, 12, 31, 32, 35, 36, 55, 56))),
-        _branch(_mult(6), (72, (0, 19, 20, 47, 48, 67, 68, 71))),
-    )),
-    ("fib", 6): ResidueTable("fib", 6, "theorem", GcdTerm(5, (0, 1)), (
-        _branch(_mult(1), (12, (1, 2, 3, 4, 5))),
-        _branch(_mult(1728, (64, (2,)), (27, (0, 3))), (24, (6,))),
-        # For n ≡ 18 (mod 24): v_2(b) = v_2(n+6) + 6 while 6 | aj gives
-        # v_2(F_aj) = v_2(n+6) + v_2(j) + 2, so matching needs v_2(j) = 4
-        # and the numerator carries 16 * 27 (at n = 18 the run product
-        # divides F_16a but not F_8a).
-        _branch(_mult(432, (27, (0, 3))), (24, (18,))),
-        _branch(_mult(72, (8, (-7,)), (9, (-7,))), (12, (7,))),
-        _branch(_mult(72, (8, (-8,)), (9, (-8,))), (12, (8,))),
-        _branch(_mult(4), (12, (9,))),
-        _branch(_mult(72, (8, (6,)), (9, (5,))), (12, (10,))),
-        _branch(_mult(72, (8, (5,)), (9, (4,))), (12, (11,))),
-        _branch(_mult(1728, (64, (4,)), (27, (3, 6))), (12, (0,))),
-    )),
-    ("lucas", 4): ResidueTable("lucas", 4, "theorem", None, (
-        _branch(_mult(3), (36, (2, 14, 18, 30))),
-        _branch(_mult(1), otherwise=True),
-    )),
-    ("lucas", 5): ResidueTable("lucas", 5, "theorem", None, (
-        _branch(_mult(3), (36, (1, 2, 13, 14, 17, 18, 29, 30))),
-        _branch(_mult(1), otherwise=True),
-    )),
-    ("lucas", 6): ResidueTable("lucas", 6, "theorem", None, (
-        _branch(_mult(3), (36, (1, 2, 12, 13, 14, 16, 17, 18, 28, 29))),
-        _branch(_mult(1), otherwise=True),
-    )),
-}
-
-_COROLLARY_TABLES: dict[tuple[str, int], ResidueTable] = {
-    ("fib", 4): ResidueTable("fib", 4, "corollary", None, (
-        _branch(_mult(1), (3, (1,)), (12, (2, 3, 5, 6))),
-        _branch(_mult(2), (12, (9, 11))),
-        _branch(_mult(72, (8, (0,)), (9, (1,))), (12, (8,))),
-        _branch(_mult(72, (8, (4,)), (9, (3,))), (12, (0,))),
-    )),
-    ("fib", 5): ResidueTable("fib", 5, "corollary", GcdTerm(5, (0,)), (
-        _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6))),
-        _branch(_mult(2), (12, (9, 10))),
-        _branch(_mult(72, (8, (1,)), (9, (2,))), (12, (7,))),
-        _branch(_mult(72, (8, (0,)), (9, (1,))), (12, (8,))),
-        _branch(_mult(72, (8, (5,)), (9, (4,))), (12, (11,))),
-        _branch(_mult(72, (8, (4,)), (9, (3,))), (12, (0,))),
-    )),
+# Keyed by (variant, family, k); the "corollary" tables restate fib k = 4, 5.
+_TABLES: dict[tuple[str, str, int], ResidueTable] = {
+    (table.variant, table.family, table.k): table for table in (
+        ResidueTable("fib", 4, "theorem", None, (
+            _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6, 7, 10)), (72, (8, 60))),
+            _branch(_mult(2), (12, (9, 11)), (72, (24, 44))),
+            _branch(_mult(3), (72, (12, 32, 36, 56))),
+            _branch(_mult(6), (72, (0, 20, 48, 68))),
+        )),
+        ResidueTable("fib", 5, "theorem", GcdTerm(5, (0,)), (
+            _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6)), (72, (7, 8, 59, 60))),
+            _branch(_mult(2), (12, (9, 10)), (72, (23, 24, 43, 44))),
+            _branch(_mult(3), (72, (11, 12, 31, 32, 35, 36, 55, 56))),
+            _branch(_mult(6), (72, (0, 19, 20, 47, 48, 67, 68, 71))),
+        )),
+        ResidueTable("fib", 6, "theorem", GcdTerm(5, (0, 1)), (
+            _branch(_mult(1), (12, (1, 2, 3, 4, 5))),
+            _branch(_mult(1728, (64, (2,)), (27, (0, 3))), (24, (6,))),
+            # For n ≡ 18 (mod 24): v_2(b) = v_2(n+6) + 6 while 6 | aj gives
+            # v_2(F_aj) = v_2(n+6) + v_2(j) + 2, so matching needs v_2(j) = 4
+            # and the numerator carries 16 * 27 (at n = 18 the run product
+            # divides F_16a but not F_8a).
+            _branch(_mult(432, (27, (0, 3))), (24, (18,))),
+            _branch(_mult(72, (8, (-7,)), (9, (-7,))), (12, (7,))),
+            _branch(_mult(72, (8, (-8,)), (9, (-8,))), (12, (8,))),
+            _branch(_mult(4), (12, (9,))),
+            _branch(_mult(72, (8, (6,)), (9, (5,))), (12, (10,))),
+            _branch(_mult(72, (8, (5,)), (9, (4,))), (12, (11,))),
+            _branch(_mult(1728, (64, (4,)), (27, (3, 6))), (12, (0,))),
+        )),
+        ResidueTable("lucas", 4, "theorem", None, (
+            _branch(_mult(3), (36, (2, 14, 18, 30))),
+            _branch(_mult(1)),
+        )),
+        ResidueTable("lucas", 5, "theorem", None, (
+            _branch(_mult(3), (36, (1, 2, 13, 14, 17, 18, 29, 30))),
+            _branch(_mult(1)),
+        )),
+        ResidueTable("lucas", 6, "theorem", None, (
+            _branch(_mult(3), (36, (1, 2, 12, 13, 14, 16, 17, 18, 28, 29))),
+            _branch(_mult(1)),
+        )),
+        ResidueTable("fib", 4, "corollary", None, (
+            _branch(_mult(1), (3, (1,)), (12, (2, 3, 5, 6))),
+            _branch(_mult(2), (12, (9, 11))),
+            _branch(_mult(72, (8, (0,)), (9, (1,))), (12, (8,))),
+            _branch(_mult(72, (8, (4,)), (9, (3,))), (12, (0,))),
+        )),
+        ResidueTable("fib", 5, "corollary", GcdTerm(5, (0,)), (
+            _branch(_mult(1), (12, (1, 2, 3, 4, 5, 6))),
+            _branch(_mult(2), (12, (9, 10))),
+            _branch(_mult(72, (8, (1,)), (9, (2,))), (12, (7,))),
+            _branch(_mult(72, (8, (0,)), (9, (1,))), (12, (8,))),
+            _branch(_mult(72, (8, (5,)), (9, (4,))), (12, (11,))),
+            _branch(_mult(72, (8, (4,)), (9, (3,))), (12, (0,))),
+        )),
+    )
 }
 
 # Plain-product form for Fibonacci k = 4:
@@ -263,26 +262,29 @@ _PLAIN_K4_ROWS: tuple[tuple[int, tuple[Condition, ...]], ...] = (
     (24, ((72, (8, 60)),)),
 )
 
-CLOSED_FORM_KS = (4, 5, 6)
+CLOSED_FORM_KS = tuple(sorted({k for variant, _, k in _TABLES if variant == "theorem"}))
+
+
+def _table(variant: str, family: str, k: int) -> ResidueTable:
+    if (variant, family, k) in _TABLES:
+        return _TABLES[(variant, family, k)]
+    if variant == "theorem":
+        raise ValueError(
+            f"no closed form for family={family!r}, k={k}; "
+            f"closed forms cover k in {CLOSED_FORM_KS}")
+    if any(variant == key[0] for key in _TABLES):
+        raise ValueError(f"no {variant} form for family={family!r}, k={k}")
+    raise ValueError(f"unknown variant {variant!r}")
 
 
 def theorem_table(family: str, k: int) -> ResidueTable:
     """The stored residue table behind z_product_closed."""
-    try:
-        return _THEOREM_TABLES[(family, k)]
-    except KeyError:
-        raise ValueError(
-            f"no closed form for family={family!r}, k={k}; "
-            f"closed forms cover k in {CLOSED_FORM_KS}") from None
+    return _table("theorem", family, k)
 
 
 def corollary_table(family: str, k: int) -> ResidueTable:
     """The gcd-style restatement of the k = 4 and k = 5 Fibonacci tables."""
-    try:
-        return _COROLLARY_TABLES[(family, k)]
-    except KeyError:
-        raise ValueError(
-            f"no corollary form for family={family!r}, k={k}") from None
+    return _table("corollary", family, k)
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +379,12 @@ def z_product_closed(spec: ProductSpec, variant: str = "theorem") -> ZResult:
     (Fibonacci k in {4, 5} only); both variants must agree, and the
     tests hold them to that.
     """
-    if variant == "theorem":
-        table = theorem_table(spec.family, spec.k)
-    elif variant == "corollary":
-        table = corollary_table(spec.family, spec.k)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    branch = table.lookup(spec.n)
+    table = _table(variant, spec.family, spec.k)
+    branch, case = table.lookup(spec.n)
     a = base_a(spec)
     multiplier = branch.multiplier.value(spec.n)
     c = 1 if table.c is None else table.c.value(spec.n)
-    return ZResult(a * multiplier * c, a, multiplier, c, ROUTE_CLOSED,
-                   branch.matched_case(spec.n))
+    return ZResult(a * multiplier * c, a, multiplier, c, ROUTE_CLOSED, case)
 
 
 def z_product_oracle(spec: ProductSpec, *, budget: int | None = None) -> ZResult:
@@ -420,7 +416,7 @@ def corollary_plain_form(n: int) -> int:
         raise ValueError("n must be at least 1")
     product = prod(range(n, n + 5))
     for divisor, conditions in _PLAIN_K4_ROWS:
-        if any(n % modulus in residues for modulus, residues in conditions):
+        if _matched_case(conditions, n):
             q, r = divmod(product, divisor)
             if r:
                 raise RuntimeError(f"plain-form divisor {divisor} fails at n={n}")

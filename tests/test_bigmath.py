@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fibrank import fib, fib_mod, gcd, is_prime, lcm, lucas, v_int
+from fibrank import fib, fib_mod, is_prime, lucas, v_int
 from fibrank.bigmath import fib_pair_mod, prime_factors
 
 
@@ -79,14 +79,6 @@ def test_fib_mod_rejects_bad_arguments():
         fib_mod(-1, 5)
     with pytest.raises(ValueError):
         fib_mod(5, 0)
-
-
-def test_gcd_lcm_basics_and_degenerate_inputs():
-    assert gcd(12, 18) == 6
-    assert lcm(4, 6) == 12
-    assert gcd(0, 0) == 0
-    assert lcm(4, 0) == 0
-    assert gcd(fib(12), fib(18)) == 8
 
 
 def test_v_int_examples():

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from fibrank import ProductSpec, z_product_oracle
+from fibrank import ProductSpec, ZResult, cli, z_product_general, z_product_oracle
 from fibrank.cli import main
 
 
@@ -162,6 +162,37 @@ def test_verify_empty_range_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "verify", "fib", "1", "0", "4")
     assert code == 2
     assert "usage error" in err
+    for ks, routes, message in (("4,x", "closed", "malformed k list"),
+                                (",", "closed", "empty k list"),
+                                ("4", "closed,bogus", "unknown route"),
+                                ("4", ",", "empty route list")):
+        code, _, err = run_cli(capsys, "verify", "fib", "1", "3", ks, routes)
+        assert code == 2
+        assert err.startswith(f"usage error: {message}"), (ks, routes, err)
+
+
+def test_verify_reports_budget_skips(capsys, monkeypatch):
+    # z for fib n = 3, 4 at k = 4 is 420 and 840, both over a budget of 100
+    monkeypatch.setenv("FIBRANK_ORACLE_BUDGET", "100")
+    args = ("verify", "fib", "3", "4", "4", "closed,oracle")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert "2 skipped (budget)" in out
+    assert "skipped n=3 k=4: routes oracle over budget" in out
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == "fib,3,4,skipped,420,"
+
+
+def test_verify_reports_mismatches(capsys, monkeypatch):
+    def doubled(spec):
+        z = 2 * z_product_general(spec).z
+        return ZResult(z, z, 1, 1, "general")
+
+    monkeypatch.setitem(cli._ROUTE_FUNCS, "general", doubled)
+    code, out, _ = run_cli(capsys, "verify", "fib", "3", "3", "4")
+    assert code == 1
+    assert "MISMATCH n=3 k=4: closed=420, general=840" in out
 
 
 def test_verify_rejects_closed_route_outside_table_range(capsys):

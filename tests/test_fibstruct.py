@@ -44,6 +44,8 @@ def test_gcd_fib_examples():
     assert gcd_fib(12, 18) == 8
     assert gcd_fib(7, 11) == 1
     assert gcd_fib(5, 10) == 5
+    with pytest.raises(ValueError):
+        gcd_fib(0, 3)
 
 
 def test_gcd_fib_matches_direct_gcd(fib_table):
@@ -58,6 +60,8 @@ def test_lucas_divides_fib_examples():
     assert not lucas_divides_fib(3, 9)
     with pytest.raises(ValueError):
         lucas_divides_fib(1, 2)
+    with pytest.raises(ValueError):
+        lucas_divides_fib(3, 0)
 
 
 def test_lucas_divides_fib_matches_big_integers(fib_table, lucas_table):
@@ -70,12 +74,16 @@ def test_lucas_gcd_examples():
     assert gcd_lucas_lucas(3, 9) == GcdCaseResult(4, CASE_BOTH_ODD)
     assert gcd_lucas_lucas(3, 6) == GcdCaseResult(2, CASE_TWO)
     assert gcd_lucas_lucas(2, 4) == GcdCaseResult(1, CASE_ONE)
+    with pytest.raises(ValueError):
+        gcd_lucas_lucas(0, 1)
 
 
 def test_mixed_gcd_examples():
     assert gcd_fib_lucas(6, 3) == GcdCaseResult(4, CASE_MIXED_PARITY)
     assert gcd_fib_lucas(3, 3) == GcdCaseResult(2, CASE_TWO)
     assert gcd_fib_lucas(5, 4) == GcdCaseResult(1, CASE_ONE)
+    with pytest.raises(ValueError):
+        gcd_fib_lucas(1, 0)
 
 
 def test_gcd_cases_match_direct_gcds_with_consistent_labels(fib_table, lucas_table):

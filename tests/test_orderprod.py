@@ -196,6 +196,8 @@ def test_stored_tables_cover_every_index_exactly_once():
     tables += [corollary_table("fib", 4), corollary_table("fib", 5)]
     for table in tables:
         has_fallback = any(branch.otherwise for branch in table.branches)
+        # lookup takes the first branch that fits, so a fallback must be last
+        assert not any(branch.otherwise for branch in table.branches[:-1])
         for n in range(1, 433):
             hits = [branch for branch in table.branches
                     if not branch.otherwise and branch.matches(n)]
